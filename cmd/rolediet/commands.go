@@ -111,7 +111,7 @@ func cmdAnalyze(args []string, stdout io.Writer) error {
 		data      = fs.String("data", "", "dataset JSON path (required)")
 		method    = fs.String("method", "rolediet", "group method: rolediet, dbscan, hnsw, lsh or dbscan-float64")
 		threshold = fs.Int("threshold", 1, "similar-group threshold k")
-		sparse    = fs.Bool("sparse", false, "use the sparse pipeline (rolediet only)")
+		sparse    = fs.Bool("sparse", false, "no-op kept for compatibility (every analysis runs off CSR); rejects methods other than rolediet")
 		workers   = fs.Int("workers", 0, "grouping worker goroutines; 0 or 1 run serially, >= 2 parallelise")
 		format    = fs.String("format", "text", "output format: text or json")
 		hierPath  = fs.String("hierarchy", "", "inheritance sidecar JSON; flatten before analysing")

@@ -30,8 +30,8 @@ type Config struct {
 	Interval time.Duration
 	// Options configure each analysis run.
 	Options core.Options
-	// Sparse selects core.AnalyzeSparse (Role Diet only) instead of the
-	// dense pipeline.
+	// Sparse selects core.AnalyzeSparse, which returns the same report
+	// as core.Analyze but rejects methods other than Role Diet.
 	Sparse bool
 	// OnReport, when set, observes every completed audit from the
 	// worker goroutine.

@@ -120,6 +120,32 @@ func FromBitMatrix(bm *matrix.BitMatrix) *Matrix {
 	return m
 }
 
+// FromCSR packs a CSR matrix straight into a fresh arena, without an
+// intermediate dense matrix or per-row vectors.
+func FromCSR(c *matrix.CSR) *Matrix {
+	m := New(c.Rows(), c.Cols())
+	for i := 0; i < c.Rows(); i++ {
+		row := m.bits[i*m.stride : i*m.stride+m.words]
+		n := int32(0)
+		for _, j := range c.RowCols(i) {
+			m.checkCol(j)
+			mask := uint64(1) << (uint(j) & wordMask)
+			if w := &row[j>>wordShift]; *w&mask == 0 {
+				*w |= mask
+				n++
+			}
+		}
+		m.norms[i] = n
+	}
+	return m
+}
+
+// RowStrideWords returns the arena stride, in words, of a matrix with
+// cols columns: the per-row storage New allocates for that width.
+func RowStrideWords(cols int) int {
+	return strideFor((cols + wordBits - 1) >> wordShift)
+}
+
 // Rows returns the number of rows.
 func (m *Matrix) Rows() int { return m.rows }
 

@@ -270,6 +270,39 @@ func TestFromBitMatrix(t *testing.T) {
 	}
 }
 
+func TestFromCSRParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, cols := range []int{0, 1, 63, 64, 65, 513, 1000} {
+		rows := randRows(rng, 13, cols, 0.2)
+		want, err := FromRows(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bm := matrix.NewBitMatrix(len(rows), cols)
+		for i, r := range rows {
+			r.ForEach(func(j int) bool {
+				bm.Set(i, j)
+				return true
+			})
+		}
+		m := FromCSR(matrix.CSRFromDense(bm))
+		if m.Rows() != want.Rows() || m.Cols() != cols || m.Stride() != RowStrideWords(cols) {
+			t.Fatalf("cols=%d: shape %dx%d stride %d, want %dx%d stride %d",
+				cols, m.Rows(), m.Cols(), m.Stride(), want.Rows(), cols, want.Stride())
+		}
+		checkPadding(t, m)
+		for i := range rows {
+			if m.Norm(i) != want.Norm(i) || !m.RowVector(i).Equal(rows[i]) {
+				t.Fatalf("cols=%d: row %d differs from FromRows", cols, i)
+			}
+		}
+	}
+	empty := FromCSR(matrix.NewCSR(0, 70))
+	if empty.Rows() != 0 || empty.Cols() != 70 {
+		t.Fatalf("empty shape %dx%d, want 0x70", empty.Rows(), empty.Cols())
+	}
+}
+
 func TestEmptyMatrix(t *testing.T) {
 	m, err := FromRows(nil)
 	if err != nil {

@@ -552,7 +552,7 @@ func (m *Manager) fireDue(now time.Time) {
 	m.mu.Unlock()
 	for _, st := range due {
 		st := st
-		_, err := m.cfg.Jobs.Submit("schedule", func(ctx context.Context, progress func(string, float64)) (any, error) {
+		_, _, err := m.cfg.Jobs.Submit("schedule", func(ctx context.Context, progress func(string, float64)) (any, error) {
 			defer m.finishRun(st)
 			m.runOnce(ctx, st)
 			return nil, nil

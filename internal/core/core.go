@@ -3,8 +3,8 @@
 // them over the RUAM/RPAM assignment matrices (§III-B).
 //
 // Classes 1-3 (standalone nodes, roles without users/permissions, roles
-// with a single user/permission) are linear scans over row and column
-// sums. Classes 4-5 (roles sharing the same or similar users or
+// with a single user/permission) are one linear scan over CSR row and
+// column degrees. Classes 4-5 (roles sharing the same or similar users or
 // permissions) delegate to one of the three group-finding methods in
 // methods.go, with the paper's Role Diet algorithm as the default.
 //
@@ -21,7 +21,7 @@ import (
 	"time"
 
 	"repro/internal/bitmat"
-	"repro/internal/bitvec"
+	"repro/internal/matrix"
 	"repro/internal/rbac"
 )
 
@@ -197,68 +197,92 @@ type Report struct {
 	SimilarGroupDuration time.Duration `json:"similarGroupsDurationNanos"`
 }
 
-// Analyzer runs the detection framework over one dataset snapshot. The
-// matrices are built once and shared by every detector.
+// Analyzer runs the detection framework over one dataset snapshot: the
+// RUAM and RPAM as CSR adjacency plus copies of the ID slices. Nothing
+// is densified up front; each side's grouping input is derived from its
+// CSR on first use and shared by every detector run on that side.
 type Analyzer struct {
-	ds   *rbac.Dataset
-	ruam rowset
-	rpam rowset
+	users []rbac.UserID
+	roles []rbac.RoleID
+	perms []rbac.PermissionID
+	ruam  side
+	rpam  side
 }
 
-// rowset caches a matrix's rows and row sums, plus — built lazily on
-// the first grouping call — the non-empty view the class-4/5 detectors
-// run over: the kept rows, the remap back to dataset row indices, and
-// the bit-matrix arena packing the kept rows. One analysis runs up to
-// two detectors per side (threshold 0 and threshold k) and the filter
-// depends only on the row sums, so caching the view halves the packing
-// work and lets both runs share one arena.
-type rowset struct {
-	rows []*bitvec.Vector
-	sums []int
+// side is one assignment matrix (RUAM or RPAM) and, built lazily on the
+// first grouping call, the view the class-4/5 detectors run over: the
+// non-empty rows and the remap back to role indices. One analysis runs
+// up to two detectors per side (threshold 0 and threshold k), so
+// caching the view lets both runs share one filter and at most one
+// arena packing.
+type side struct {
+	csr *matrix.CSR
 
-	kept  []*bitvec.Vector
+	kept  *groupInput
 	remap []int
-	mat   *bitmat.Matrix
+	// force pins the rolediet kernel instead of the size rule; only
+	// tests set it.
+	force kernel
 }
 
-// groupView returns the side's cached non-empty view, building it on
-// first use.
-func (rs *rowset) groupView() ([]*bitvec.Vector, []int, *bitmat.Matrix, error) {
-	if rs.remap == nil {
-		kept := make([]*bitvec.Vector, 0, len(rs.rows))
-		remap := make([]int, 0, len(rs.rows))
-		for i, r := range rs.rows {
-			if rs.sums[i] > 0 {
-				kept = append(kept, r)
+// kernel names a rolediet grouping kernel.
+type kernel int
+
+const (
+	kernelAuto  kernel = iota // pick by the size rule in useCSR
+	kernelCSR                 // rolediet.GroupsCSR* over the column lists
+	kernelArena               // rolediet.GroupsMat* over a packed bitmat arena
+)
+
+// groupView returns the side's non-empty view, building it on first
+// use. Empty rows contribute no column indices, so the kept matrix
+// shares the full CSR's ColIdx and only needs a new RowPtr.
+func (s *side) groupView() (*groupInput, []int) {
+	if s.kept == nil {
+		kept := &matrix.CSR{
+			RowPtr: append(make([]int, 0, s.csr.Rows()+1), 0),
+			ColIdx: s.csr.ColIdx,
+			NCols:  s.csr.Cols(),
+		}
+		remap := make([]int, 0, s.csr.Rows())
+		for i := 0; i < s.csr.Rows(); i++ {
+			if end := s.csr.RowPtr[i+1]; end > s.csr.RowPtr[i] {
+				kept.RowPtr = append(kept.RowPtr, end)
 				remap = append(remap, i)
 			}
 		}
-		m, err := bitmat.FromRows(kept)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		rs.kept, rs.remap, rs.mat = kept, remap, m
+		kept.NRows = len(remap)
+		s.kept, s.remap = &groupInput{n: kept.NRows, csr: kept}, remap
 	}
-	return rs.kept, rs.remap, rs.mat, nil
+	return s.kept, s.remap
+}
+
+// useCSR reports whether rolediet should run the CSR kernel on the
+// kept view: it does when the view's column lists take no more words
+// than its packed arena would. Sparse RBAC sides (the paper's case)
+// pick CSR; dense synthetic ones, where word-wide XOR+popcount beats
+// merging index lists, pick the arena.
+func (s *side) useCSR(in *groupInput) bool {
+	switch s.force {
+	case kernelCSR:
+		return true
+	case kernelArena:
+		return false
+	}
+	return in.csr.NNZ() <= in.n*bitmat.RowStrideWords(in.csr.Cols())
 }
 
 // NewAnalyzer snapshots the dataset. Later dataset mutations are not
 // observed.
 func NewAnalyzer(d *rbac.Dataset) *Analyzer {
-	a := &Analyzer{ds: d.Clone()}
-	ruam := a.ds.RUAM()
-	rpam := a.ds.RPAM()
-	a.ruam = rowset{rows: make([]*bitvec.Vector, ruam.Rows()), sums: ruam.RowSums()}
-	a.rpam = rowset{rows: make([]*bitvec.Vector, rpam.Rows()), sums: rpam.RowSums()}
-	for i := 0; i < ruam.Rows(); i++ {
-		a.ruam.rows[i] = ruam.Row(i)
-		a.rpam.rows[i] = rpam.Row(i)
+	return &Analyzer{
+		users: d.Users(),
+		roles: d.Roles(),
+		perms: d.Permissions(),
+		ruam:  side{csr: d.RUAMCSR()},
+		rpam:  side{csr: d.RPAMCSR()},
 	}
-	return a
 }
-
-// Dataset returns the analyzer's snapshot.
-func (a *Analyzer) Dataset() *rbac.Dataset { return a.ds }
 
 // Analyze runs every enabled detector and assembles the report.
 func (a *Analyzer) Analyze(opts Options) (*Report, error) {
@@ -284,16 +308,20 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, opts Options) (*Report, e
 	progress := progressReporter(opts.Progress)
 
 	rep := &Report{
-		Stats:            a.ds.Stats(),
+		Stats: rbac.Stats{
+			Users:                 len(a.users),
+			Roles:                 len(a.roles),
+			Permissions:           len(a.perms),
+			UserAssignments:       a.ruam.csr.NNZ(),
+			PermissionAssignments: a.rpam.csr.NNZ(),
+		},
 		Method:           opts.Method.String(),
 		SimilarThreshold: opts.SimilarThreshold,
 	}
 
 	progress.emit(StageLinearScan, 0)
 	start := time.Now()
-	a.detectStandalone(rep)
-	a.detectDisconnected(rep)
-	a.detectSingle(rep)
+	a.detectLinear(rep)
 	rep.LinearScanDuration = time.Since(start)
 	progress.emit(StageLinearScan, fracLinearEnd)
 
@@ -309,7 +337,7 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, opts Options) (*Report, e
 	}
 	// Disconnected roles (class 2) must not resurface as one giant
 	// class-4 group of all-zero rows; findGroups runs over each side's
-	// cached non-empty view and shared bit-matrix arena.
+	// cached non-empty view.
 	start = time.Now()
 	gopts.Threshold = 0
 	gopts.Progress = progress.span(StageSameUserGroups, fracLinearEnd, fracSameUserEnd)
@@ -355,86 +383,52 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, opts Options) (*Report, e
 	return rep, nil
 }
 
-// detectStandalone finds class-1 inefficiencies: all-zero columns in
-// RUAM (users) and RPAM (permissions), and roles whose rows are all-zero
-// in both matrices.
-func (a *Analyzer) detectStandalone(rep *Report) {
-	userDeg := make([]int, a.ds.NumUsers())
-	for _, row := range a.ruam.rows {
-		row.ForEach(func(j int) bool {
-			userDeg[j]++
-			return true
-		})
-	}
-	for ui, deg := range userDeg {
+// detectLinear finds classes 1-3 in one pass over the CSR degrees:
+// users and permissions with zero column degree are standalone (class
+// 1); a role with zero row degree on both sides is standalone too, on
+// one side only it is disconnected (class 2); a row degree of one is a
+// single assignment (class 3).
+func (a *Analyzer) detectLinear(rep *Report) {
+	for ui, deg := range a.ruam.csr.ColSums() {
 		if deg == 0 {
-			rep.StandaloneUsers = append(rep.StandaloneUsers, a.ds.User(ui))
+			rep.StandaloneUsers = append(rep.StandaloneUsers, a.users[ui])
 		}
 	}
-	permDeg := make([]int, a.ds.NumPermissions())
-	for _, row := range a.rpam.rows {
-		row.ForEach(func(j int) bool {
-			permDeg[j]++
-			return true
-		})
-	}
-	for pi, deg := range permDeg {
+	for pi, deg := range a.rpam.csr.ColSums() {
 		if deg == 0 {
-			rep.StandalonePermissions = append(rep.StandalonePermissions, a.ds.Permission(pi))
+			rep.StandalonePermissions = append(rep.StandalonePermissions, a.perms[pi])
 		}
 	}
-	for ri := range a.ruam.rows {
-		if a.ruam.sums[ri] == 0 && a.rpam.sums[ri] == 0 {
-			rep.StandaloneRoles = append(rep.StandaloneRoles, a.ds.Role(ri))
-		}
-	}
-}
-
-// detectDisconnected finds class-2 inefficiencies: roles with a zero
-// row sum on exactly one side. Roles with zero on both sides are
-// standalone nodes (class 1), not disconnected roles.
-func (a *Analyzer) detectDisconnected(rep *Report) {
-	for ri := range a.ruam.rows {
-		noUsers := a.ruam.sums[ri] == 0
-		noPerms := a.rpam.sums[ri] == 0
+	for ri, role := range a.roles {
+		users := a.ruam.csr.RowSum(ri)
+		perms := a.rpam.csr.RowSum(ri)
 		switch {
-		case noUsers && noPerms:
-			// class 1, already reported
-		case noUsers:
-			rep.RolesWithoutUsers = append(rep.RolesWithoutUsers, a.ds.Role(ri))
-		case noPerms:
-			rep.RolesWithoutPermissions = append(rep.RolesWithoutPermissions, a.ds.Role(ri))
+		case users == 0 && perms == 0:
+			rep.StandaloneRoles = append(rep.StandaloneRoles, role)
+		case users == 0:
+			rep.RolesWithoutUsers = append(rep.RolesWithoutUsers, role)
+		case perms == 0:
+			rep.RolesWithoutPermissions = append(rep.RolesWithoutPermissions, role)
 		}
-	}
-}
-
-// detectSingle finds class-3 inefficiencies: row sums equal to one.
-func (a *Analyzer) detectSingle(rep *Report) {
-	for ri := range a.ruam.rows {
-		if a.ruam.sums[ri] == 1 {
-			rep.RolesWithSingleUser = append(rep.RolesWithSingleUser, a.ds.Role(ri))
+		if users == 1 {
+			rep.RolesWithSingleUser = append(rep.RolesWithSingleUser, role)
 		}
-		if a.rpam.sums[ri] == 1 {
-			rep.RolesWithSinglePermission = append(rep.RolesWithSinglePermission, a.ds.Role(ri))
+		if perms == 1 {
+			rep.RolesWithSinglePermission = append(rep.RolesWithSinglePermission, role)
 		}
 	}
 }
 
 // findGroups runs one grouping detector over a side's cached non-empty
-// view and shared arena, remapping group members back to dataset row
-// indices. It replaces calling FindRoleGroupsContext with
-// IgnoreEmptyRows set, which would re-filter and re-pack the rows on
-// every detector run.
-func (a *Analyzer) findGroups(ctx context.Context, rs *rowset, opts GroupOptions) ([][]int, error) {
-	kept, remap, m, err := rs.groupView()
-	if err != nil {
-		return nil, err
-	}
-	if len(kept) == 0 {
+// view, remapping group members back to role indices. Rolediet picks
+// its kernel per side (see useCSR); every other backend runs over the
+// arena packed from the view's CSR.
+func (a *Analyzer) findGroups(ctx context.Context, s *side, opts GroupOptions) ([][]int, error) {
+	in, remap := s.groupView()
+	if in.n == 0 {
 		return nil, nil
 	}
-	opts.IgnoreEmptyRows = false
-	groups, err := findRoleGroupsMat(ctx, kept, m, opts)
+	groups, err := findGroupsIn(ctx, in, opts, opts.Method == MethodRoleDiet && s.useCSR(in))
 	if err != nil {
 		return nil, err
 	}
@@ -452,7 +446,7 @@ func (a *Analyzer) toRoleGroups(groups [][]int) []RoleGroup {
 	for gi, g := range groups {
 		ids := make([]rbac.RoleID, len(g))
 		for i, ri := range g {
-			ids[i] = a.ds.Role(ri)
+			ids[i] = a.roles[ri]
 		}
 		out[gi] = RoleGroup{Roles: ids}
 	}

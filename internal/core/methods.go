@@ -13,6 +13,7 @@ import (
 	"repro/internal/cluster/hnsw"
 	"repro/internal/cluster/rolediet"
 	"repro/internal/ctxcheck"
+	"repro/internal/matrix"
 )
 
 // Method selects the role-group detection algorithm (§III-C evaluates
@@ -131,7 +132,7 @@ type GroupOptions struct {
 	// side from grouping. All-zero rows are trivially identical to each
 	// other, so without this a dataset's disconnected roles (inefficiency
 	// class 2) would resurface as one giant class-4 group. The Analyzer
-	// enables it; the raw facade defaults to false.
+	// always applies the same filter; the raw facade defaults to false.
 	IgnoreEmptyRows bool `json:"ignoreEmptyRows,omitempty"`
 	// Workers fans the selected backend's hot phase out over this many
 	// goroutines. 0 (the default) and 1 run the serial implementation;
@@ -210,16 +211,60 @@ func FindRoleGroupsContext(ctx context.Context, rows []*bitvec.Vector, opts Grou
 		}
 		return groups, nil
 	}
-	return findRoleGroupsMat(ctx, rows, nil, opts)
+	return findGroupsIn(ctx, &groupInput{n: len(rows), vecs: rows}, opts, false)
 }
 
-// findRoleGroupsMat is the dispatch behind FindRoleGroupsContext with an
-// optional prepacked bit-matrix arena over rows. A nil arena is packed
-// lazily, once, for the backends that consume one; the Analyzer passes
-// each side's cached arena so its class-4 and class-5 runs share a
-// single packing. rows must be non-empty and the caller must already
-// have applied the IgnoreEmptyRows filter.
-func findRoleGroupsMat(ctx context.Context, rows []*bitvec.Vector, m *bitmat.Matrix, opts GroupOptions) ([][]int, error) {
+// groupInput is one grouping run's rows in the forms the backends
+// consume: CSR column lists, a packed bit-matrix arena, or per-row
+// vectors. A caller sets the form it holds (the Analyzer a CSR view,
+// the FindRoleGroups facade its vectors); the others are derived from
+// it on first use and cached, so an Analyzer side's class-4 and class-5
+// runs share a single packing.
+type groupInput struct {
+	n    int
+	csr  *matrix.CSR
+	mat  *bitmat.Matrix
+	vecs []*bitvec.Vector
+}
+
+// arena returns the packed bit-matrix arena, packing it on first use.
+func (in *groupInput) arena() (*bitmat.Matrix, error) {
+	if in.mat == nil {
+		if in.csr != nil {
+			in.mat = bitmat.FromCSR(in.csr)
+		} else {
+			m, err := bitmat.FromRows(in.vecs)
+			if err != nil {
+				return nil, err
+			}
+			in.mat = m
+		}
+	}
+	return in.mat, nil
+}
+
+// vectors returns the rows as bit vectors, materialising them from the
+// arena on first use. Only dbscan-float64 and hnsw under a non-arena
+// metric need them.
+func (in *groupInput) vectors() ([]*bitvec.Vector, error) {
+	if in.vecs == nil {
+		m, err := in.arena()
+		if err != nil {
+			return nil, err
+		}
+		in.vecs = make([]*bitvec.Vector, in.n)
+		for i := range in.vecs {
+			in.vecs[i] = m.RowVector(i)
+		}
+	}
+	return in.vecs, nil
+}
+
+// findGroupsIn is the backend dispatch behind FindRoleGroupsContext
+// and the Analyzer. in must be non-empty and already filtered for
+// IgnoreEmptyRows. sparse selects rolediet's CSR kernel over in.csr
+// instead of the arena one; other methods ignore it.
+func findGroupsIn(ctx context.Context, in *groupInput, opts GroupOptions, sparse bool) ([][]int, error) {
 	if opts.Threshold < 0 {
 		return nil, fmt.Errorf("core: negative threshold %d", opts.Threshold)
 	}
@@ -230,15 +275,6 @@ func findRoleGroupsMat(ctx context.Context, rows []*bitvec.Vector, m *bitmat.Mat
 	if method == 0 {
 		method = MethodRoleDiet
 	}
-	arena := func() (*bitmat.Matrix, error) {
-		if m == nil {
-			var err error
-			if m, err = bitmat.FromRows(rows); err != nil {
-				return nil, err
-			}
-		}
-		return m, nil
-	}
 	// Workers 0/1 keep the serial implementations; >= 2 selects each
 	// backend's parallel variant with that worker count.
 	par := opts.Workers >= 2
@@ -248,15 +284,23 @@ func findRoleGroupsMat(ctx context.Context, rows []*bitvec.Vector, m *bitmat.Mat
 			Threshold: opts.Threshold,
 			Progress:  opts.Progress,
 		}
-		am, err := arena()
-		if err != nil {
-			return nil, err
-		}
 		var res *rolediet.Result
-		if par {
-			res, err = rolediet.GroupsMatParallelContext(ctx, am, ropts, opts.Workers)
-		} else {
-			res, err = rolediet.GroupsMatContext(ctx, am, ropts)
+		var err error
+		switch {
+		case sparse && par:
+			res, err = rolediet.GroupsCSRParallelContext(ctx, in.csr, ropts, opts.Workers)
+		case sparse:
+			res, err = rolediet.GroupsCSRContext(ctx, in.csr, ropts)
+		default:
+			var am *bitmat.Matrix
+			if am, err = in.arena(); err != nil {
+				return nil, err
+			}
+			if par {
+				res, err = rolediet.GroupsMatParallelContext(ctx, am, ropts, opts.Workers)
+			} else {
+				res, err = rolediet.GroupsMatContext(ctx, am, ropts)
+			}
 		}
 		if err != nil {
 			return nil, err
@@ -269,7 +313,7 @@ func findRoleGroupsMat(ctx context.Context, rows []*bitvec.Vector, m *bitmat.Mat
 			Eps:    float64(opts.Threshold) + 1e-9,
 			MinPts: 2,
 		}
-		am, err := arena()
+		am, err := in.arena()
 		if err != nil {
 			return nil, err
 		}
@@ -284,8 +328,12 @@ func findRoleGroupsMat(ctx context.Context, rows []*bitvec.Vector, m *bitmat.Mat
 		}
 		return normalizeGroups(res.Groups()), nil
 	case MethodHNSW:
-		return hnswGroups(ctx, rows, arena, opts)
+		return hnswGroups(ctx, in, opts)
 	case MethodDBSCANFloat64:
+		rows, err := in.vectors()
+		if err != nil {
+			return nil, err
+		}
 		floats := make([][]float64, len(rows))
 		for i, r := range rows {
 			floats[i] = r.Floats()
@@ -295,7 +343,6 @@ func findRoleGroupsMat(ctx context.Context, rows []*bitvec.Vector, m *bitmat.Mat
 			MinPts: 2,
 		}
 		var res *dbscan.Result
-		var err error
 		if par {
 			res, err = dbscan.RunFloatsParallelContext(ctx, floats, cfg, opts.Workers)
 		} else {
@@ -306,7 +353,7 @@ func findRoleGroupsMat(ctx context.Context, rows []*bitvec.Vector, m *bitmat.Mat
 		}
 		return normalizeGroups(res.Groups()), nil
 	case MethodLSH:
-		am, err := arena()
+		am, err := in.arena()
 		if err != nil {
 			return nil, err
 		}
@@ -334,14 +381,14 @@ func findRoleGroupsMat(ctx context.Context, rows []*bitvec.Vector, m *bitmat.Mat
 // Hamming) the index is built straight off the shared bit matrix and
 // queried by row id, so the whole run makes zero per-distance
 // allocations; exotic metrics keep the vector-backed path.
-func hnswGroups(ctx context.Context, rows []*bitvec.Vector, arena func() (*bitmat.Matrix, error), opts GroupOptions) ([][]int, error) {
+func hnswGroups(ctx context.Context, in *groupInput, opts GroupOptions) ([][]int, error) {
 	useMat := hnsw.SupportsMat(opts.HNSW.Metric)
+	var rows []*bitvec.Vector
 	var idx *hnsw.Index
 	var err error
-	switch {
-	case useMat:
+	if useMat {
 		var am *bitmat.Matrix
-		if am, err = arena(); err != nil {
+		if am, err = in.arena(); err != nil {
 			return nil, err
 		}
 		if opts.Workers >= 2 {
@@ -349,10 +396,15 @@ func hnswGroups(ctx context.Context, rows []*bitvec.Vector, arena func() (*bitma
 		} else {
 			idx, err = hnsw.BuildFromMatContext(ctx, am, opts.HNSW)
 		}
-	case opts.Workers >= 2:
-		idx, err = hnsw.BuildParallelContext(ctx, rows, opts.HNSW, opts.Workers)
-	default:
-		idx, err = hnsw.BuildContext(ctx, rows, opts.HNSW)
+	} else {
+		if rows, err = in.vectors(); err != nil {
+			return nil, err
+		}
+		if opts.Workers >= 2 {
+			idx, err = hnsw.BuildParallelContext(ctx, rows, opts.HNSW, opts.Workers)
+		} else {
+			idx, err = hnsw.BuildContext(ctx, rows, opts.HNSW)
+		}
 	}
 	if err != nil {
 		return nil, err
@@ -362,7 +414,7 @@ func hnswGroups(ctx context.Context, rows []*bitvec.Vector, arena func() (*bitma
 		ef = 64
 	}
 	chk := ctxcheck.New(ctx, 1)
-	parent := make([]int, len(rows))
+	parent := make([]int, in.n)
 	for i := range parent {
 		parent[i] = i
 	}
@@ -381,21 +433,21 @@ func hnswGroups(ctx context.Context, rows []*bitvec.Vector, arena func() (*bitma
 		}
 	}
 	radius := float64(opts.Threshold)
-	for i, row := range rows {
+	for i := 0; i < in.n; i++ {
 		// One poll per query: each radius search is a bounded beam scan.
 		// Progress follows the same per-query stride.
 		if err := chk.Err(); err != nil {
 			return nil, err
 		}
 		if opts.Progress != nil {
-			opts.Progress(i, len(rows))
+			opts.Progress(i, in.n)
 		}
 		var hits []hnsw.Neighbour
 		var err error
 		if useMat {
 			hits, err = idx.SearchRadiusRow(i, radius, ef)
 		} else {
-			hits, err = idx.SearchRadius(row, radius, ef)
+			hits, err = idx.SearchRadius(rows[i], radius, ef)
 		}
 		if err != nil {
 			return nil, err
@@ -407,7 +459,7 @@ func hnswGroups(ctx context.Context, rows []*bitvec.Vector, arena func() (*bitma
 		}
 	}
 	byRoot := make(map[int][]int)
-	for i := range rows {
+	for i := 0; i < in.n; i++ {
 		r := find(i)
 		byRoot[r] = append(byRoot[r], i)
 	}

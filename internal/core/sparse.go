@@ -3,174 +3,28 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
 
-	"repro/internal/cluster/rolediet"
-	"repro/internal/matrix"
 	"repro/internal/rbac"
 )
 
-// AnalyzeSparse runs the full detection framework over CSR matrices
-// instead of dense bit matrices. This is the configuration that handles
-// the paper's organisation-scale dataset (§IV-B: ~50k roles, ~90k
-// users, ~350k permissions) on a laptop: the dense RUAM/RPAM would need
-// gigabytes, the CSR form a few megabytes.
-//
-// Only MethodRoleDiet supports the sparse path — which mirrors the
-// paper's finding that the DBSCAN and HNSW baselines were halted after
-// 24 hours on the real dataset while the custom algorithm finished in
-// about two minutes. Requesting another method returns an error rather
-// than silently densifying.
+// AnalyzeSparse is Analyze restricted to MethodRoleDiet: for that
+// method it returns exactly Analyze's report (every analysis runs off
+// CSR adjacency, see NewAnalyzer), and it rejects every other method.
+// The restriction mirrors the paper's finding that the DBSCAN and HNSW
+// baselines were halted after 24 hours on the organisation-scale
+// dataset while the custom algorithm finished in about two minutes.
 func AnalyzeSparse(d *rbac.Dataset, opts Options) (*Report, error) {
 	return AnalyzeSparseContext(context.Background(), d, opts)
 }
 
-// AnalyzeSparseContext is AnalyzeSparse with cooperative cancellation:
-// the CSR grouping passes poll the context inside their hot loops and
-// the whole analysis aborts with ctx.Err() soon after cancellation.
+// AnalyzeSparseContext is AnalyzeSparse with cooperative cancellation,
+// exactly as AnalyzeContext.
 func AnalyzeSparseContext(ctx context.Context, d *rbac.Dataset, opts Options) (*Report, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	if ctx == nil {
-		ctx = context.Background()
+	if m := opts.withDefaults().Method; m != MethodRoleDiet {
+		return nil, fmt.Errorf("core: sparse analysis supports only rolediet, got %s", m)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	opts = opts.withDefaults()
-	if opts.Method != MethodRoleDiet {
-		return nil, fmt.Errorf("core: sparse analysis supports only rolediet, got %s", opts.Method)
-	}
-	progress := progressReporter(opts.Progress)
-
-	ruam := d.RUAMCSR()
-	rpam := d.RPAMCSR()
-
-	rep := &Report{
-		Stats:            d.Stats(),
-		Method:           opts.Method.String(),
-		SimilarThreshold: opts.SimilarThreshold,
-	}
-
-	progress.emit(StageLinearScan, 0)
-	start := time.Now()
-	detectLinearSparse(d, ruam, rpam, rep)
-	rep.LinearScanDuration = time.Since(start)
-	progress.emit(StageLinearScan, fracLinearEnd)
-
-	if opts.SkipGroups {
-		progress.emit(StageDone, 1)
-		return rep, nil
-	}
-
-	toGroups := func(c *matrix.CSR, k int, stage string, lo, hi float64) ([]RoleGroup, error) {
-		kept, remap := filterEmptyRows(c)
-		ropts := rolediet.Options{
-			Threshold: k,
-			Progress:  progress.span(stage, lo, hi),
-		}
-		var res *rolediet.Result
-		var err error
-		if opts.Workers >= 2 {
-			res, err = rolediet.GroupsCSRParallelContext(ctx, kept, ropts, opts.Workers)
-		} else {
-			res, err = rolediet.GroupsCSRContext(ctx, kept, ropts)
-		}
-		if err != nil {
-			return nil, err
-		}
-		out := make([]RoleGroup, len(res.Groups))
-		for gi, g := range res.Groups {
-			ids := make([]rbac.RoleID, len(g))
-			for i, ri := range g {
-				ids[i] = d.Role(remap[ri])
-			}
-			out[gi] = RoleGroup{Roles: ids}
-		}
-		progress.emit(stage, hi)
-		return out, nil
-	}
-
-	start = time.Now()
-	var err error
-	if rep.SameUserGroups, err = toGroups(ruam, 0,
-		StageSameUserGroups, fracLinearEnd, fracSameUserEnd); err != nil {
-		return nil, fmt.Errorf("same-user groups: %w", err)
-	}
-	if rep.SamePermissionGroups, err = toGroups(rpam, 0,
-		StageSamePermissionGroups, fracSameUserEnd, fracSamePermEnd); err != nil {
-		return nil, fmt.Errorf("same-permission groups: %w", err)
-	}
-	rep.SameGroupsDuration = time.Since(start)
-
-	if opts.SkipSimilar {
-		progress.emit(StageDone, 1)
-		return rep, nil
-	}
-
-	start = time.Now()
-	if rep.SimilarUserGroups, err = toGroups(ruam, opts.SimilarThreshold,
-		StageSimilarUserGroups, fracSamePermEnd, fracSimilarUserEnd); err != nil {
-		return nil, fmt.Errorf("similar-user groups: %w", err)
-	}
-	if rep.SimilarPermissionGroups, err = toGroups(rpam, opts.SimilarThreshold,
-		StageSimilarPermissionGroups, fracSimilarUserEnd, fracSimilarPermEnd); err != nil {
-		return nil, fmt.Errorf("similar-permission groups: %w", err)
-	}
-	rep.SimilarGroupDuration = time.Since(start)
-
-	progress.emit(StageDone, 1)
-	return rep, nil
-}
-
-// detectLinearSparse runs the class-1/2/3 detectors over CSR matrices.
-func detectLinearSparse(d *rbac.Dataset, ruam, rpam *matrix.CSR, rep *Report) {
-	for ui, deg := range ruam.ColSums() {
-		if deg == 0 {
-			rep.StandaloneUsers = append(rep.StandaloneUsers, d.User(ui))
-		}
-	}
-	for pi, deg := range rpam.ColSums() {
-		if deg == 0 {
-			rep.StandalonePermissions = append(rep.StandalonePermissions, d.Permission(pi))
-		}
-	}
-	for ri := 0; ri < ruam.Rows(); ri++ {
-		users := ruam.RowSum(ri)
-		perms := rpam.RowSum(ri)
-		switch {
-		case users == 0 && perms == 0:
-			rep.StandaloneRoles = append(rep.StandaloneRoles, d.Role(ri))
-		case users == 0:
-			rep.RolesWithoutUsers = append(rep.RolesWithoutUsers, d.Role(ri))
-		case perms == 0:
-			rep.RolesWithoutPermissions = append(rep.RolesWithoutPermissions, d.Role(ri))
-		}
-		if users == 1 {
-			rep.RolesWithSingleUser = append(rep.RolesWithSingleUser, d.Role(ri))
-		}
-		if perms == 1 {
-			rep.RolesWithSinglePermission = append(rep.RolesWithSinglePermission, d.Role(ri))
-		}
-	}
-}
-
-// filterEmptyRows drops all-zero rows from a CSR matrix and returns the
-// kept matrix plus a kept-index → original-index map.
-func filterEmptyRows(c *matrix.CSR) (*matrix.CSR, []int) {
-	remap := make([]int, 0, c.Rows())
-	out := matrix.NewCSR(0, c.Cols())
-	out.RowPtr = out.RowPtr[:1]
-	for i := 0; i < c.Rows(); i++ {
-		row := c.RowCols(i)
-		if len(row) == 0 {
-			continue
-		}
-		out.ColIdx = append(out.ColIdx, row...)
-		out.RowPtr = append(out.RowPtr, len(out.ColIdx))
-		remap = append(remap, i)
-	}
-	out.NRows = len(remap)
-	return out, remap
+	return AnalyzeContext(ctx, d, opts)
 }

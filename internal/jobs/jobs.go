@@ -305,12 +305,16 @@ func NewManager(opts Options) *Manager {
 	return m
 }
 
-// Submit enqueues a task. It returns ErrQueueFull when the queue is at
-// capacity — backpressure the caller must surface, not absorb — and
+// Submit enqueues a task. Alongside the job it returns the job's
+// queued snapshot, taken before the handoff to the worker pool: a
+// worker may flip the job to running the moment it is enqueued, so
+// callers answering "202 queued" must render this snapshot rather than
+// call Snapshot afterwards. It returns ErrQueueFull when the queue is
+// at capacity — backpressure the caller must surface, not absorb — and
 // ErrClosed after Close.
-func (m *Manager) Submit(kind string, task Task) (*Job, error) {
+func (m *Manager) Submit(kind string, task Task) (*Job, Snapshot, error) {
 	if task == nil {
-		return nil, fmt.Errorf("jobs: nil task")
+		return nil, Snapshot{}, fmt.Errorf("jobs: nil task")
 	}
 	ctx, cancel := context.WithCancel(m.base)
 	j := &Job{
@@ -327,20 +331,21 @@ func (m *Manager) Submit(kind string, task Task) (*Job, error) {
 	if m.closed {
 		m.mu.Unlock()
 		cancel()
-		return nil, ErrClosed
+		return nil, Snapshot{}, ErrClosed
 	}
 	m.jobs[j.id] = j
+	queued := j.Snapshot()
 	m.mu.Unlock()
 
 	select {
 	case m.queue <- j:
-		return j, nil
+		return j, queued, nil
 	default:
 		m.mu.Lock()
 		delete(m.jobs, j.id)
 		m.mu.Unlock()
 		cancel()
-		return nil, ErrQueueFull
+		return nil, Snapshot{}, ErrQueueFull
 	}
 }
 

@@ -41,7 +41,7 @@ func Workers(requested, items int) int {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if items > 0 && w > items {
+	if w > items {
 		w = items
 	}
 	if w < 1 {

@@ -28,12 +28,11 @@ func buildCSR(sets []map[int]struct{}, rows, cols int) *matrix.CSR {
 	}
 	c.ColIdx = make([]int, 0, nnz)
 	for ri, s := range sets {
-		row := make([]int, 0, len(s))
+		start := len(c.ColIdx)
 		for j := range s {
-			row = append(row, j)
+			c.ColIdx = append(c.ColIdx, j)
 		}
-		sort.Ints(row)
-		c.ColIdx = append(c.ColIdx, row...)
+		sort.Ints(c.ColIdx[start:])
 		c.RowPtr[ri+1] = len(c.ColIdx)
 	}
 	return c

@@ -53,7 +53,7 @@ func (h *handler) jobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	kind := req.kind
-	j, err := h.jobs.Submit(kind, func(ctx context.Context, progress func(string, float64)) (any, error) {
+	j, queued, err := h.jobs.Submit(kind, func(ctx context.Context, progress func(string, float64)) (any, error) {
 		// The cached path means a job whose (dataset, options, kind)
 		// was already computed — by a sync request, another job, or a
 		// concurrent in-flight run — finishes without touching the
@@ -75,7 +75,7 @@ func (h *handler) jobSubmit(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Location", "/v1/jobs/"+j.ID())
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusAccepted)
-	writeJSON(w, j.Snapshot())
+	writeJSON(w, queued)
 }
 
 // lookupJob resolves {id}, answering 404 not_found for unknown or

@@ -85,7 +85,7 @@ func (h *handler) optimize(w http.ResponseWriter, r *http.Request) {
 		req.optKnobs = knobs
 	}
 	if mode := r.URL.Query().Get("mode"); mode == "async" {
-		j, err := h.jobs.Submit(kindOptimize, func(ctx context.Context, progress func(string, float64)) (any, error) {
+		j, queued, err := h.jobs.Submit(kindOptimize, func(ctx context.Context, progress func(string, float64)) (any, error) {
 			out, _, err := h.runKindLogged(ctx, "job", kindOptimize, req, progress)
 			return out, err
 		})
@@ -102,7 +102,7 @@ func (h *handler) optimize(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Location", "/v1/jobs/"+j.ID())
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusAccepted)
-		writeJSON(w, j.Snapshot())
+		writeJSON(w, queued)
 		return
 	}
 	out, hit, err := h.runKindLogged(r.Context(), "api", kindOptimize, req, nil)

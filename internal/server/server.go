@@ -96,7 +96,8 @@
 //     and analysis options come from query parameters — method
 //     (rolediet|dbscan|hnsw|lsh|dbscan-float64), threshold (int >= 0),
 //     workers (int >= 0; >= 2 fans grouping out over that many
-//     goroutines), sparse (bool). /v1/query takes user and/or
+//     goroutines), sparse (bool; a no-op hint kept for compatibility
+//     that only rejects non-rolediet methods). /v1/query takes user and/or
 //     permission selectors;
 //     /v1/diff accepts method/threshold the same way.
 //

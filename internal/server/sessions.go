@@ -241,7 +241,7 @@ func (h *handler) sessionAudit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if mode := r.URL.Query().Get("mode"); mode == "async" {
-		j, err := h.jobs.Submit("session-audit", func(_ context.Context, progress func(string, float64)) (any, error) {
+		j, queued, err := h.jobs.Submit("session-audit", func(_ context.Context, progress func(string, float64)) (any, error) {
 			audit := s.Audit()
 			if progress != nil {
 				progress("audit", 1)
@@ -261,7 +261,7 @@ func (h *handler) sessionAudit(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Location", "/v1/jobs/"+j.ID())
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusAccepted)
-		writeJSON(w, j.Snapshot())
+		writeJSON(w, queued)
 		return
 	}
 	writeJSON(w, s.Audit())
