@@ -36,8 +36,10 @@ func cmdGenerate(args []string, stdout io.Writer) error {
 
 	var ds *rbac.Dataset
 	if *org {
+		p := gen.DefaultOrgParams().Scaled(*scale)
+		p.Seed = *seed
 		var err error
-		ds, _, err = gen.Org(gen.DefaultOrgParams().Scaled(*scale))
+		ds, _, err = gen.Org(p)
 		if err != nil {
 			return err
 		}

@@ -109,11 +109,15 @@ func FromReport(rep *core.Report) *Plan {
 // consolidated copy. The input dataset is not modified.
 func Apply(d *rbac.Dataset, plan *Plan) (*rbac.Dataset, error) {
 	out := d.Clone()
+	pending := out.DeferRoleRemovals()
 	for mi, m := range plan.Merges {
 		if len(m.Remove) == 0 {
 			continue
 		}
 		for _, victim := range m.Remove {
+			if err := checkMerge(pending, m.Keep, victim); err != nil {
+				return nil, fmt.Errorf("merge %d: %w", mi, err)
+			}
 			switch m.Side {
 			case SideUsers:
 				// Fold the victim's permissions into the keeper.
@@ -140,12 +144,25 @@ func Apply(d *rbac.Dataset, plan *Plan) (*rbac.Dataset, error) {
 			default:
 				return nil, fmt.Errorf("merge %d: unknown side %d", mi, int(m.Side))
 			}
-			if err := out.RemoveRole(victim); err != nil {
+			if err := pending.Remove(victim); err != nil {
 				return nil, fmt.Errorf("merge %d: %w", mi, err)
 			}
 		}
 	}
+	if err := pending.Commit(); err != nil {
+		return nil, err
+	}
 	return out, nil
+}
+
+// checkMerge rejects a fold whose victim or keeper is unknown or already
+// merged away. Removals are deferred to one pass at the end, so this
+// stands in for the lookup errors eager removal would have raised.
+func checkMerge(pending *rbac.PendingRemovals, keep, victim rbac.RoleID) error {
+	if err := pending.Check(victim); err != nil {
+		return err
+	}
+	return pending.Check(keep)
 }
 
 // VerifySafety checks that consolidation preserved every user's
@@ -210,14 +227,15 @@ func VerifySafety(before, after *rbac.Dataset) error {
 		}
 	}
 
-	bRoles := rolesByUser(before)
-	aRoles := rolesByUser(after)
+	// User→role lists, in role index order.
+	bRoles := before.RUAMCSR().Transpose()
+	aRoles := after.RUAMCSR().Transpose()
 
 	arena := bitmat.New(2, before.NumPermissions())
 	touched := make([]int32, 0, 64)
 	for ui := 0; ui < n; ui++ {
-		for _, ri := range bRoles[ui] {
-			before.ForEachRolePermission(int(ri), func(pi int) bool {
+		for _, ri := range bRoles.RowCols(ui) {
+			before.ForEachRolePermission(ri, func(pi int) bool {
 				arena.Set(0, pi)
 				touched = append(touched, int32(pi))
 				return true
@@ -228,8 +246,8 @@ func VerifySafety(before, after *rbac.Dataset) error {
 			aui = int(userMap[ui])
 		}
 		gained := -1
-		for _, ri := range aRoles[aui] {
-			after.ForEachRolePermission(int(ri), func(pi int) bool {
+		for _, ri := range aRoles.RowCols(aui) {
+			after.ForEachRolePermission(ri, func(pi int) bool {
 				col := pi
 				if permMap != nil {
 					if col = int(permMap[pi]); col < 0 {
@@ -256,19 +274,6 @@ func VerifySafety(before, after *rbac.Dataset) error {
 		touched = touched[:0]
 	}
 	return nil
-}
-
-// rolesByUser inverts the role→user assignment into per-user role index
-// lists, in role index order.
-func rolesByUser(d *rbac.Dataset) [][]int32 {
-	out := make([][]int32, d.NumUsers())
-	for ri := 0; ri < d.NumRoles(); ri++ {
-		d.ForEachRoleUser(ri, func(ui int) bool {
-			out[ui] = append(out[ui], int32(ri))
-			return true
-		})
-	}
-	return out
 }
 
 // rowDiffError names the first differing permission between user ui's

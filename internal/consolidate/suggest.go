@@ -89,11 +89,11 @@ func suggestionFor(d *rbac.Dataset, eff []map[int]struct{},
 		if !ok {
 			return Suggestion{}, fmt.Errorf("consolidate: role %q not in dataset", r)
 		}
-		d.UserRow(ri).ForEach(func(u int) bool {
+		d.ForEachRoleUser(ri, func(u int) bool {
 			userUnion[u] = struct{}{}
 			return true
 		})
-		d.PermRow(ri).ForEach(func(p int) bool {
+		d.ForEachRolePermission(ri, func(p int) bool {
 			permUnion[p] = struct{}{}
 			return true
 		})
@@ -130,10 +130,11 @@ func ApplySuggestion(d *rbac.Dataset, s Suggestion) (*rbac.Dataset, error) {
 	}
 	out := d.Clone()
 	keep := s.Roles[0]
-	if _, ok := out.RoleIndex(keep); !ok {
-		return nil, fmt.Errorf("consolidate: role %q not in dataset", keep)
-	}
+	pending := out.DeferRoleRemovals()
 	for _, victim := range s.Roles[1:] {
+		if err := checkMerge(pending, keep, victim); err != nil {
+			return nil, err
+		}
 		users, err := out.RoleUsers(victim)
 		if err != nil {
 			return nil, err
@@ -152,9 +153,12 @@ func ApplySuggestion(d *rbac.Dataset, s Suggestion) (*rbac.Dataset, error) {
 				return nil, err
 			}
 		}
-		if err := out.RemoveRole(victim); err != nil {
+		if err := pending.Remove(victim); err != nil {
 			return nil, err
 		}
+	}
+	if err := pending.Commit(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

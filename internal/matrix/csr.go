@@ -103,6 +103,28 @@ func (c *CSR) RowCols(i int) []int {
 	return c.ColIdx[c.RowPtr[i]:c.RowPtr[i+1]]
 }
 
+// Transpose returns the column-major view of c as a CSR of its own:
+// row j of the result lists, in ascending order, the rows of c whose
+// column j is set. It is one counting pass and one fill pass.
+func (c *CSR) Transpose() *CSR {
+	t := NewCSR(c.NCols, c.NRows)
+	for _, j := range c.ColIdx {
+		t.RowPtr[j+1]++
+	}
+	for j := 0; j < c.NCols; j++ {
+		t.RowPtr[j+1] += t.RowPtr[j]
+	}
+	t.ColIdx = make([]int, len(c.ColIdx))
+	next := append([]int(nil), t.RowPtr[:c.NCols]...)
+	for i := 0; i < c.NRows; i++ {
+		for _, j := range c.RowCols(i) {
+			t.ColIdx[next[j]] = i
+			next[j]++
+		}
+	}
+	return t
+}
+
 // RowSum returns the number of set cells in row i.
 func (c *CSR) RowSum(i int) int { return len(c.RowCols(i)) }
 

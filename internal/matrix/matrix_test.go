@@ -305,6 +305,19 @@ func TestPropertyCSRMatchesDense(t *testing.T) {
 	}
 }
 
+func TestPropertyCSRTransposeMatchesDense(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		rows, cols := r.Intn(20), r.Intn(60)
+		m := randMatrix(r, rows, cols, 0.3)
+		tr := CSRFromDense(m).Transpose()
+		return reflect.DeepEqual(tr, CSRFromDense(m.Transpose()))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestMemoryEstimates(t *testing.T) {
 	m := NewBitMatrix(100, 1000)
 	for i := 0; i < 100; i++ {

@@ -13,15 +13,21 @@ import (
 // dataset identical to Result.Optimized. The input is never modified.
 func Apply(d *rbac.Dataset, p *Plan) (*rbac.Dataset, error) {
 	out := d.Clone()
+	// Dropped and merged-away roles are removed in one pass per run of
+	// actions; a mined role set replaces every role, so the pending
+	// removals are committed before it.
+	pending := out.DeferRoleRemovals()
 	for ai, a := range p.Actions {
 		var err error
 		switch a.Kind {
 		case KindDropRole, KindDropRedundant:
-			err = out.RemoveRole(a.Role)
+			err = pending.Remove(a.Role)
 		case KindMergeRoles:
-			err = applyMerge(out, a)
+			err = applyMerge(out, pending, a)
 		case KindMineRoleset:
-			err = applyMined(out, a.MinedRoles)
+			if err = pending.Commit(); err == nil {
+				err = applyMined(out, a.MinedRoles)
+			}
 		default:
 			err = fmt.Errorf("unknown action kind %q", a.Kind)
 		}
@@ -29,14 +35,17 @@ func Apply(d *rbac.Dataset, p *Plan) (*rbac.Dataset, error) {
 			return nil, fmt.Errorf("optimize: action %d (%s): %w", ai, a.Kind, err)
 		}
 	}
+	if err := pending.Commit(); err != nil {
+		return nil, fmt.Errorf("optimize: %w", err)
+	}
 	return out, nil
 }
 
 // applyMerge folds the removed roles into the keeper along the action's
 // side — the same fold order the planner used, so replay is exact.
-func applyMerge(d *rbac.Dataset, a Action) error {
-	if _, ok := d.RoleIndex(a.Keep); !ok {
-		return fmt.Errorf("keep role %q not in dataset", a.Keep)
+func applyMerge(d *rbac.Dataset, pending *rbac.PendingRemovals, a Action) error {
+	if err := pending.Check(a.Keep); err != nil {
+		return fmt.Errorf("keep role: %w", err)
 	}
 	foldUsers := a.Side == "permissions" || a.Side == "both"
 	foldPerms := a.Side == "users" || a.Side == "both"
@@ -44,6 +53,12 @@ func applyMerge(d *rbac.Dataset, a Action) error {
 		return fmt.Errorf("unknown merge side %q", a.Side)
 	}
 	for _, victim := range a.Remove {
+		if err := pending.Check(victim); err != nil {
+			return err
+		}
+		if err := pending.Check(a.Keep); err != nil {
+			return err
+		}
 		if foldUsers {
 			users, err := d.RoleUsers(victim)
 			if err != nil {
@@ -66,7 +81,7 @@ func applyMerge(d *rbac.Dataset, a Action) error {
 				}
 			}
 		}
-		if err := d.RemoveRole(victim); err != nil {
+		if err := pending.Remove(victim); err != nil {
 			return err
 		}
 	}
@@ -76,10 +91,8 @@ func applyMerge(d *rbac.Dataset, a Action) error {
 // applyMined replaces the entire role set with the embedded mined
 // decomposition. Users and permissions are untouched.
 func applyMined(d *rbac.Dataset, roles []MinedRole) error {
-	for _, r := range d.Roles() {
-		if err := d.RemoveRole(r); err != nil {
-			return err
-		}
+	if err := d.RemoveRoles(d.Roles()); err != nil {
+		return err
 	}
 	for _, mr := range roles {
 		if err := d.AddRole(mr.ID); err != nil {

@@ -38,6 +38,7 @@ import (
 
 	"repro/internal/consolidate"
 	"repro/internal/core"
+	"repro/internal/matrix"
 	"repro/internal/mining"
 	"repro/internal/rbac"
 )
@@ -252,54 +253,62 @@ func (p *planner) analyze(skipGroups, skipSimilar bool) (*core.Report, error) {
 
 // edges counts a role's direct assignment edges on both sides.
 func edges(d *rbac.Dataset, ri int) int {
-	return d.UserRow(ri).Count() + d.PermRow(ri).Count()
+	return d.RoleUserCount(ri) + d.RolePermissionCount(ri)
 }
 
 // eliminate drops class-1/2 roles (they grant nothing) and redundant
-// class-3 roles (every grant covered elsewhere).
+// class-3 roles (every grant covered elsewhere). Drops are recorded
+// against the unchanged dataset and removed in one pass at the end;
+// removing a role never changes another role's edges, so every
+// action's EdgesDelta is the same as under eager removal.
 func (p *planner) eliminate() error {
 	rep, err := p.analyze(true, true)
 	if err != nil {
 		return err
 	}
 
-	drop := func(r rbac.RoleID, class int, reason string) error {
-		ri, ok := p.cur.RoleIndex(r)
-		if !ok {
+	d := p.cur
+	dropped := make([]bool, d.NumRoles())
+	var removed []rbac.RoleID
+	drop := func(r rbac.RoleID, kind string, class int, reason string) error {
+		ri, ok := d.RoleIndex(r)
+		if !ok || dropped[ri] {
 			return fmt.Errorf("optimize: dropped role %q not in dataset", r)
 		}
 		p.actions = append(p.actions, Action{
-			Kind:         KindDropRole,
+			Kind:         kind,
 			Class:        class,
 			Role:         r,
 			RolesRemoved: 1,
-			EdgesDelta:   -edges(p.cur, ri),
+			EdgesDelta:   -edges(d, ri),
 			Reason:       reason,
 		})
-		return p.cur.RemoveRole(r)
+		dropped[ri] = true
+		removed = append(removed, r)
+		return nil
 	}
 	for _, r := range rep.StandaloneRoles {
-		if err := drop(r, 1, "standalone role: no users and no permissions"); err != nil {
+		if err := drop(r, KindDropRole, 1, "standalone role: no users and no permissions"); err != nil {
 			return err
 		}
 	}
 	for _, r := range rep.RolesWithoutUsers {
-		if err := drop(r, 2, "grants nothing: no users hold the role"); err != nil {
+		if err := drop(r, KindDropRole, 2, "grants nothing: no users hold the role"); err != nil {
 			return err
 		}
 	}
 	for _, r := range rep.RolesWithoutPermissions {
-		if err := drop(r, 2, "grants nothing: the role has no permissions"); err != nil {
+		if err := drop(r, KindDropRole, 2, "grants nothing: the role has no permissions"); err != nil {
 			return err
 		}
 	}
 
 	// Class-3 candidates, deduplicated (a role can be single on both
-	// sides) and checked sequentially against the current dataset so
-	// two roles covering only each other cannot both drop. The check is
-	// a greedy set-cover whose drop count depends on processing order,
-	// so candidates are canonicalised by role ID — the same export in a
-	// different insertion order yields the same drops.
+	// sides) and checked sequentially against the roles still standing
+	// so two roles covering only each other cannot both drop. The check
+	// is a greedy set-cover whose drop count depends on processing
+	// order, so candidates are canonicalised by role ID — the same
+	// export in a different insertion order yields the same drops.
 	seen := make(map[rbac.RoleID]struct{})
 	var candidates []rbac.RoleID
 	for _, list := range [][]rbac.RoleID{rep.RolesWithSingleUser, rep.RolesWithSinglePermission} {
@@ -311,48 +320,60 @@ func (p *planner) eliminate() error {
 		}
 	}
 	sort.Slice(candidates, func(a, b int) bool { return candidates[a] < candidates[b] })
-	for _, r := range candidates {
-		ri, ok := p.cur.RoleIndex(r)
-		if !ok {
-			continue // already dropped as class 1/2
-		}
-		if !p.coveredElsewhere(ri) {
-			continue
-		}
-		p.actions = append(p.actions, Action{
-			Kind:         KindDropRedundant,
-			Class:        3,
-			Role:         r,
-			RolesRemoved: 1,
-			EdgesDelta:   -edges(p.cur, ri),
-			Reason:       "single-assignment role: every grant is covered by another role",
-		})
-		if err := p.cur.RemoveRole(r); err != nil {
-			return err
+	if len(candidates) > 0 {
+		cov := newCoverage(d, dropped)
+		for _, r := range candidates {
+			ri, ok := d.RoleIndex(r)
+			if !ok || dropped[ri] || !cov.coveredElsewhere(ri) {
+				continue // already dropped as class 1/2, or grants something alone
+			}
+			if err := drop(r, KindDropRedundant, 3,
+				"single-assignment role: every grant is covered by another role"); err != nil {
+				return err
+			}
 		}
 	}
-	return nil
+	return d.RemoveRoles(removed)
+}
+
+// coverage answers class-3 coverage queries over sorted adjacency: the
+// role→user and role→permission CSR views plus the user→role
+// transpose, so a pair check touches only the roles the user holds.
+type coverage struct {
+	ruam, rpam, userRoles *matrix.CSR
+	// dropped is shared with the planner: a role marked here no longer
+	// covers anything.
+	dropped []bool
+}
+
+func newCoverage(d *rbac.Dataset, dropped []bool) *coverage {
+	ruam := d.RUAMCSR()
+	return &coverage{ruam: ruam, rpam: d.RPAMCSR(), userRoles: ruam.Transpose(), dropped: dropped}
 }
 
 // coveredElsewhere reports whether every (user, permission) pair role
-// index ri grants is also granted by some other role.
-func (p *planner) coveredElsewhere(ri int) bool {
-	d := p.cur
-	covered := true
-	d.UserRow(ri).ForEach(func(ui int) bool {
-		d.PermRow(ri).ForEach(func(pi int) bool {
-			pairCovered := false
-			for oi := 0; oi < d.NumRoles() && !pairCovered; oi++ {
-				if oi != ri && d.UserRow(oi).Get(ui) && d.PermRow(oi).Get(pi) {
-					pairCovered = true
-				}
+// index ri grants is also granted by some other role still standing.
+func (c *coverage) coveredElsewhere(ri int) bool {
+	perms := c.rpam.RowCols(ri)
+	for _, ui := range c.ruam.RowCols(ri) {
+		for _, pi := range perms {
+			if !c.pairCovered(ri, ui, pi) {
+				return false
 			}
-			covered = pairCovered
-			return covered
-		})
-		return covered
-	})
-	return covered
+		}
+	}
+	return true
+}
+
+// pairCovered reports whether a standing role other than ri grants
+// permission pi to user ui.
+func (c *coverage) pairCovered(ri, ui, pi int) bool {
+	for _, oi := range c.userRoles.RowCols(ui) {
+		if oi != ri && !c.dropped[oi] && c.rpam.Get(oi, pi) {
+			return true
+		}
+	}
+	return false
 }
 
 // mergeToConvergence runs merge rounds until one adds no actions (or
@@ -480,29 +501,42 @@ func (p *planner) mergeEdgesDelta(keep rbac.RoleID, remove []rbac.RoleID, side s
 	if !ok {
 		return 0
 	}
-	userUnion := d.UserRow(ki).Clone()
-	permUnion := d.PermRow(ki).Clone()
+	group := []int{ki}
 	victimEdges := 0
 	for _, r := range remove {
-		ri, ok := d.RoleIndex(r)
-		if !ok {
-			continue
+		if ri, ok := d.RoleIndex(r); ok {
+			group = append(group, ri)
+			victimEdges += edges(d, ri)
 		}
-		victimEdges += edges(d, ri)
-		userUnion.Or(d.UserRow(ri))
-		permUnion.Or(d.PermRow(ri))
 	}
 	keepGrowth := 0
-	switch side {
-	case "users":
-		keepGrowth = permUnion.Count() - d.PermRow(ki).Count()
-	case "permissions":
-		keepGrowth = userUnion.Count() - d.UserRow(ki).Count()
-	case "both":
-		keepGrowth = permUnion.Count() - d.PermRow(ki).Count() +
-			userUnion.Count() - d.UserRow(ki).Count()
+	if side == "users" || side == "both" {
+		keepGrowth += unionCount(group, d.ForEachRolePermission) - d.RolePermissionCount(ki)
+	}
+	if side == "permissions" || side == "both" {
+		keepGrowth += unionCount(group, d.ForEachRoleUser) - d.RoleUserCount(ki)
 	}
 	return keepGrowth - victimEdges
+}
+
+// unionCount counts the distinct indices that each yields across the
+// given roles.
+func unionCount(roles []int, each func(ri int, fn func(int) bool)) int {
+	var all []int
+	for _, ri := range roles {
+		each(ri, func(i int) bool {
+			all = append(all, i)
+			return true
+		})
+	}
+	sort.Ints(all)
+	n := 0
+	for k, i := range all {
+		if k == 0 || i != all[k-1] {
+			n++
+		}
+	}
+	return n
 }
 
 // mine runs the bounded mining pass when enabled. It returns a non-empty

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"unicode/utf8"
 )
 
 // datasetJSON is the serialised form of a Dataset. Assignments are
@@ -29,42 +30,104 @@ type permEdgeJSON struct {
 	Permission PermissionID `json:"permission"`
 }
 
-// MarshalJSON implements json.Marshaler with deterministic edge order.
+// MarshalJSON implements json.Marshaler with deterministic edge order:
+// entities in index order, each role's edges sorted by index. It is the
+// canonical encoding the dataset registry hashes, so it is written in
+// one pass into a buffer sized up front rather than through a
+// datasetJSON copy and reflection. The bytes are exactly encoding/json's
+// rendering of the datasetJSON form, and already compact, so
+// json.Marshal(d) returns them unchanged.
 func (d *Dataset) MarshalJSON() ([]byte, error) {
-	out := datasetJSON{
-		Users:           d.Users(),
-		Roles:           d.Roles(),
-		Permissions:     d.Permissions(),
-		UserAssignments: make([]userEdgeJSON, 0, d.NumUserAssignments()),
-		PermAssignments: make([]permEdgeJSON, 0, d.NumPermissionAssignments()),
+	buf := make([]byte, 0, d.jsonSize())
+	buf = append(buf, `{"users":`...)
+	buf = appendJSONStrings(buf, d.users)
+	buf = append(buf, `,"roles":`...)
+	buf = appendJSONStrings(buf, d.roles)
+	buf = append(buf, `,"permissions":`...)
+	buf = appendJSONStrings(buf, d.perms)
+	buf = append(buf, `,"userAssignments":[`...)
+	buf = d.appendEdges(buf, d.roleUsers, `,"user":`, func(i int) string { return string(d.users[i]) })
+	buf = append(buf, `],"permissionAssignments":[`...)
+	buf = d.appendEdges(buf, d.rolePerms, `,"permission":`, func(i int) string { return string(d.perms[i]) })
+	return append(buf, "]}"...), nil
+}
+
+// jsonSize is the length of the encoding when no id needs escaping.
+func (d *Dataset) jsonSize() int {
+	n := len(`{"users":[],"roles":[],"permissions":[],"userAssignments":[],"permissionAssignments":[]}`)
+	for _, u := range d.users {
+		n += len(u) + 3
 	}
-	for ri, set := range d.roleUsers {
-		uis := make([]int, 0, len(set))
-		for ui := range set {
-			uis = append(uis, ui)
+	for _, p := range d.perms {
+		n += len(p) + 3
+	}
+	for ri, r := range d.roles {
+		n += len(r) + 3
+		n += len(d.roleUsers[ri]) * (len(r) + len(`{"role":"","user":""},`))
+		for ui := range d.roleUsers[ri] {
+			n += len(d.users[ui])
 		}
-		sort.Ints(uis)
-		for _, ui := range uis {
-			out.UserAssignments = append(out.UserAssignments, userEdgeJSON{
-				Role: d.roles[ri],
-				User: d.users[ui],
-			})
+		n += len(d.rolePerms[ri]) * (len(r) + len(`{"role":"","permission":""},`))
+		for pi := range d.rolePerms[ri] {
+			n += len(d.perms[pi])
 		}
 	}
-	for ri, set := range d.rolePerms {
-		pis := make([]int, 0, len(set))
-		for pi := range set {
-			pis = append(pis, pi)
+	return n
+}
+
+// appendEdges appends one side's edge objects, roles in index order and
+// each role's targets in ascending index order.
+func (d *Dataset) appendEdges(buf []byte, sets []map[int]struct{}, key string, name func(int) string) []byte {
+	var idx []int
+	first := true
+	for ri, set := range sets {
+		idx = idx[:0]
+		for i := range set {
+			idx = append(idx, i)
 		}
-		sort.Ints(pis)
-		for _, pi := range pis {
-			out.PermAssignments = append(out.PermAssignments, permEdgeJSON{
-				Role:       d.roles[ri],
-				Permission: d.perms[pi],
-			})
+		sort.Ints(idx)
+		for _, i := range idx {
+			if !first {
+				buf = append(buf, ',')
+			}
+			first = false
+			buf = append(buf, `{"role":`...)
+			buf = appendJSONString(buf, string(d.roles[ri]))
+			buf = append(buf, key...)
+			buf = appendJSONString(buf, name(i))
+			buf = append(buf, '}')
 		}
 	}
-	return json.Marshal(out)
+	return buf
+}
+
+// appendJSONStrings appends ids as a JSON array of strings.
+func appendJSONStrings[S ~string](buf []byte, ids []S) []byte {
+	buf = append(buf, '[')
+	for i, id := range ids {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = appendJSONString(buf, string(id))
+	}
+	return append(buf, ']')
+}
+
+// appendJSONString appends s as a JSON string literal exactly as
+// encoding/json renders it (HTML-safe escaping). Printable ASCII other
+// than the quote, the backslash and the HTML characters <, > and &
+// needs no escaping, which covers ids in practice; any other string is
+// rendered by encoding/json itself.
+func appendJSONString(buf []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			b, _ := json.Marshal(s)
+			return append(buf, b...)
+		}
+	}
+	buf = append(buf, '"')
+	buf = append(buf, s...)
+	return append(buf, '"')
 }
 
 // UnmarshalJSON implements json.Unmarshaler.

@@ -2,8 +2,13 @@ package rbac
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
+	"testing/quick"
 )
 
 func TestJSONRoundTrip(t *testing.T) {
@@ -134,5 +139,89 @@ func TestReadAssignmentsCSVNilReaders(t *testing.T) {
 	}
 	if d.NumRoles() != 1 || d.NumUsers() != 2 || d.NumUserAssignments() != 2 {
 		t.Fatalf("stats = %+v", d.Stats())
+	}
+}
+
+// referenceJSON is the encoding MarshalJSON must reproduce: the
+// datasetJSON form rendered by encoding/json, edges per role in index
+// order.
+func referenceJSON(t *testing.T, d *Dataset) []byte {
+	t.Helper()
+	out := datasetJSON{
+		Users: d.Users(), Roles: d.Roles(), Permissions: d.Permissions(),
+		UserAssignments: []userEdgeJSON{}, PermAssignments: []permEdgeJSON{},
+	}
+	for ri, r := range d.roles {
+		for _, ui := range sortedKeys(d.roleUsers[ri]) {
+			out.UserAssignments = append(out.UserAssignments, userEdgeJSON{Role: r, User: d.users[ui]})
+		}
+		for _, pi := range sortedKeys(d.rolePerms[ri]) {
+			out.PermAssignments = append(out.PermAssignments, permEdgeJSON{Role: r, Permission: d.perms[pi]})
+		}
+	}
+	b, err := json.Marshal(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func sortedKeys(set map[int]struct{}) []int {
+	out := make([]int, 0, len(set))
+	for k := range set {
+		out = append(out, k)
+	}
+	sort.Ints(out)
+	return out
+}
+
+// TestMarshalJSONMatchesEncodingJSON checks the one-pass encoder
+// against encoding/json over ids that need every kind of escaping:
+// quotes, backslashes, HTML characters, control bytes, non-ASCII,
+// U+2028/U+2029 and invalid UTF-8, plus arbitrary random bytes.
+func TestMarshalJSONMatchesEncodingJSON(t *testing.T) {
+	alphabet := []string{"plain", "", "with space", `qu"ote`, `back\slash`, "<tag>", "a&b",
+		"tab\tnl\n", "\x00\x1f\x7f", "héllo", "  ", "\xff\xfe", "emoji😀", "ctl\b\f\r", "~!@#$%^*()"}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		id := func(k int) string {
+			if r.Intn(4) == 0 {
+				b := make([]byte, r.Intn(6))
+				r.Read(b)
+				return fmt.Sprintf("%s#%d", b, k)
+			}
+			return fmt.Sprintf("%s#%d", alphabet[r.Intn(len(alphabet))], k)
+		}
+		d := NewDataset()
+		nu, nr, np := r.Intn(6), r.Intn(6), r.Intn(6)
+		for k := 0; k < nu; k++ {
+			d.EnsureUser(UserID(id(k)))
+		}
+		for k := 0; k < nr; k++ {
+			d.EnsureRole(RoleID(id(k)))
+		}
+		for k := 0; k < np; k++ {
+			d.EnsurePermission(PermissionID(id(k)))
+		}
+		for k := 0; nr > 0 && k < 12; k++ {
+			role := d.Role(r.Intn(nr))
+			if nu > 0 {
+				_ = d.AssignUser(role, d.User(r.Intn(nu)))
+			}
+			if np > 0 {
+				_ = d.AssignPermission(role, d.Permission(r.Intn(np)))
+			}
+		}
+		want := referenceJSON(t, d)
+		got, err := d.MarshalJSON()
+		if err != nil || !bytes.Equal(got, want) {
+			t.Logf("seed %d: MarshalJSON\n%q\nwant\n%q", seed, got, want)
+			return false
+		}
+		viaEncoder, err := json.Marshal(d)
+		return err == nil && bytes.Equal(viaEncoder, want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -177,23 +177,6 @@ func (d *Dataset) RevokePermission(role RoleID, perm PermissionID) error {
 	return nil
 }
 
-// RemoveRole deletes a role and all its edges. Indices of later roles
-// shift down by one, exactly like deleting a matrix row.
-func (d *Dataset) RemoveRole(role RoleID) error {
-	ri, ok := d.roleIdx[role]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownRole, role)
-	}
-	d.roles = append(d.roles[:ri], d.roles[ri+1:]...)
-	d.roleUsers = append(d.roleUsers[:ri], d.roleUsers[ri+1:]...)
-	d.rolePerms = append(d.rolePerms[:ri], d.rolePerms[ri+1:]...)
-	delete(d.roleIdx, role)
-	for i := ri; i < len(d.roles); i++ {
-		d.roleIdx[d.roles[i]] = i
-	}
-	return nil
-}
-
 // NumUsers returns the user count.
 func (d *Dataset) NumUsers() int { return len(d.users) }
 
@@ -330,6 +313,13 @@ func (d *Dataset) ForEachRolePermission(ri int, fn func(pi int) bool) {
 		}
 	}
 }
+
+// RoleUserCount returns the number of users assigned to role index ri.
+func (d *Dataset) RoleUserCount(ri int) int { return len(d.roleUsers[ri]) }
+
+// RolePermissionCount returns the number of permissions assigned to
+// role index ri.
+func (d *Dataset) RolePermissionCount(ri int) int { return len(d.rolePerms[ri]) }
 
 // NumUserAssignments returns the total number of user–role edges.
 func (d *Dataset) NumUserAssignments() int {

@@ -1,6 +1,7 @@
 package rbac
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -128,5 +129,138 @@ func TestPropertyRemovePreservesOtherEdges(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestRemoveRoles(t *testing.T) {
+	d := figure1Dataset(t)
+	r05Users, _ := d.RoleUsers("R05")
+	r05Perms, _ := d.RolePermissions("R05")
+	// Out of order and with a duplicate.
+	if err := d.RemoveRoles([]RoleID{"R04", "R02", "R04"}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := d.Roles(), []RoleID{"R01", "R03", "R05"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Roles after removal = %v, want %v", got, want)
+	}
+	for i, id := range d.Roles() {
+		if ri, ok := d.RoleIndex(id); !ok || ri != i {
+			t.Fatalf("RoleIndex(%s) = (%d, %v), want (%d, true)", id, ri, ok, i)
+		}
+	}
+	for _, id := range []RoleID{"R02", "R04"} {
+		if _, ok := d.RoleIndex(id); ok {
+			t.Fatalf("removed role %s still indexed", id)
+		}
+	}
+	us, _ := d.RoleUsers("R05")
+	ps, _ := d.RolePermissions("R05")
+	if !reflect.DeepEqual(us, r05Users) || !reflect.DeepEqual(ps, r05Perms) {
+		t.Fatalf("R05 edges after removal = %v / %v, want %v / %v", us, ps, r05Users, r05Perms)
+	}
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.RemoveRoles(nil); err != nil || d.NumRoles() != 3 {
+		t.Fatalf("empty removal: err %v, %d roles", err, d.NumRoles())
+	}
+}
+
+func TestRemoveRolesUnknownChangesNothing(t *testing.T) {
+	d := figure1Dataset(t)
+	before, _ := d.MarshalJSON()
+	if err := d.RemoveRoles([]RoleID{"R01", "ghost", "R03"}); !errors.Is(err, ErrUnknownRole) {
+		t.Fatalf("remove with ghost err = %v", err)
+	}
+	after, _ := d.MarshalJSON()
+	if !bytes.Equal(before, after) {
+		t.Fatalf("failed removal changed the dataset:\n%s\nvs\n%s", after, before)
+	}
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPropertyRemoveRolesMatchesRebuild checks RemoveRoles against a
+// dataset rebuilt from scratch with only the surviving roles, in their
+// original order.
+func TestPropertyRemoveRolesMatchesRebuild(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		d := NewDataset()
+		for i := 0; i < 4; i++ {
+			_ = d.AddUser(UserID(rune('a' + i)))
+		}
+		nr := 1 + r.Intn(12)
+		for i := 0; i < nr; i++ {
+			id := RoleID(rune('A' + i))
+			_ = d.AddRole(id)
+			_ = d.AssignUser(id, UserID(rune('a'+r.Intn(4))))
+		}
+		var ids []RoleID
+		removed := make(map[RoleID]bool)
+		for k := r.Intn(nr + 3); k > 0; k-- {
+			id := RoleID(rune('A' + r.Intn(nr)))
+			ids = append(ids, id)
+			removed[id] = true
+		}
+		want := NewDataset()
+		for _, u := range d.Users() {
+			_ = want.AddUser(u)
+		}
+		for _, id := range d.Roles() {
+			if removed[id] {
+				continue
+			}
+			_ = want.AddRole(id)
+			us, _ := d.RoleUsers(id)
+			for _, u := range us {
+				_ = want.AssignUser(id, u)
+			}
+		}
+		if d.RemoveRoles(ids) != nil || d.Validate() != nil {
+			return false
+		}
+		a, _ := d.MarshalJSON()
+		b, _ := want.MarshalJSON()
+		return bytes.Equal(a, b)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestPendingRemovals(t *testing.T) {
+	d := figure1Dataset(t)
+	batch := d.DeferRoleRemovals()
+	if err := batch.Remove("R02"); err != nil {
+		t.Fatal(err)
+	}
+	if err := batch.Check("R02"); !errors.Is(err, ErrUnknownRole) {
+		t.Fatalf("Check of a marked role err = %v", err)
+	}
+	if err := batch.Remove("R02"); !errors.Is(err, ErrUnknownRole) {
+		t.Fatalf("second Remove of a marked role err = %v", err)
+	}
+	if err := batch.Remove("ghost"); !errors.Is(err, ErrUnknownRole) {
+		t.Fatalf("Remove ghost err = %v", err)
+	}
+	if _, err := d.RoleUsers("R02"); err != nil || d.NumRoles() != 5 {
+		t.Fatalf("marked role must stay readable until Commit: err %v, %d roles", err, d.NumRoles())
+	}
+	if err := batch.Remove("R05"); err != nil {
+		t.Fatal(err)
+	}
+	if err := batch.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := d.Roles(), []RoleID{"R01", "R03", "R04"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Roles after Commit = %v, want %v", got, want)
+	}
+	if err := batch.Check("R03"); err != nil {
+		t.Fatalf("batch not emptied by Commit: %v", err)
+	}
+	if err := batch.Commit(); err != nil || d.NumRoles() != 3 {
+		t.Fatalf("empty Commit: err %v, %d roles", err, d.NumRoles())
 	}
 }

@@ -158,18 +158,19 @@ func (h *handler) backendSessionExists(id string) bool {
 
 // backendSnapshot registers the current dataset of a live session
 // content-addressed and returns the digest. The session hands out a
-// clone, and PutCanonical re-parses the canonical bytes, so later
-// session mutations cannot reach the stored snapshot.
+// clone, which the store keeps, so later session mutations cannot reach
+// the stored snapshot.
 func (h *handler) backendSnapshot(_ context.Context, sessionID string) (string, error) {
 	s, err := h.sessions.Get(sessionID)
 	if err != nil {
 		return "", err
 	}
-	digest, canonical, err := store.DigestOf(s.Dataset())
+	ds := s.Dataset()
+	digest, canonical, err := store.DigestOf(ds)
 	if err != nil {
 		return "", err
 	}
-	if _, err := h.store.PutCanonical(digest, canonical); err != nil {
+	if _, err := h.store.PutDigested(digest, canonical, ds); err != nil {
 		return "", err
 	}
 	return digest, nil

@@ -114,11 +114,12 @@ type putMeta struct {
 	degraded  bool
 }
 
-// putLocal admits canonical bytes into the local store and writes the
-// ingest response, kicking off async replication when this node is the
-// digest's owner.
+// putLocal admits the decoded upload and its canonical bytes into the
+// local store and writes the ingest response, kicking off async
+// replication when this node is the digest's owner. The store keeps ds
+// itself: the upload is parsed once.
 func (h *handler) putLocal(w http.ResponseWriter, digest string, canonical []byte, ds *rbac.Dataset, meta putMeta) {
-	created, err := h.store.PutCanonical(digest, canonical)
+	created, err := h.store.PutDigested(digest, canonical, ds)
 	switch {
 	case errors.Is(err, store.ErrTooLarge):
 		writeError(w, http.StatusUnprocessableEntity, err)

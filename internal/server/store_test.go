@@ -8,6 +8,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -450,6 +453,75 @@ func TestServerStoreDirPersistence(t *testing.T) {
 	canonical, _ := io.ReadAll(resp.Body)
 	if got, _, err := store.DigestOf(mustParse(t, canonical)); err != nil || got != digest {
 		t.Fatalf("restarted snapshot digests to %s (err %v)", got, err)
+	}
+}
+
+// TestUploadDecodeMatchesCanonicalReload checks that the dataset an
+// upload admits — the stream-decoded form, kept without a second parse
+// — analyses and optimizes byte-identically to the dataset a
+// -store-dir restart reloads from the canonical bytes. The upload lists
+// its entities and edges in an order the canonical encoding does not
+// use, so the two datasets are built along different paths.
+func TestUploadDecodeMatchesCanonicalReload(t *testing.T) {
+	dir := t.TempDir()
+	open := func() (*httptest.Server, *store.Store) {
+		st, err := store.New(store.Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return httptest.NewServer(NewHandler(Options{Store: st})), st
+	}
+	// Wall-clock fields are the one nondeterministic part of a report.
+	durations := regexp.MustCompile(`"[a-zA-Z]*DurationNanos":[0-9]+`)
+	paths := []string{"/v1/analyze", "/v1/optimize"}
+	run := func(srv *httptest.Server, digest string) [][]byte {
+		var out [][]byte
+		for _, path := range paths {
+			resp, body := postJSON(t, srv, path, []byte(fmt.Sprintf(`{"dataset_ref":%q}`, digest)), nil)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s by ref = %d (%s)", path, resp.StatusCode, body)
+			}
+			if got := resp.Header.Get("X-Cache"); got != "miss" {
+				t.Fatalf("%s by ref X-Cache = %q, want a fresh computation", path, got)
+			}
+			out = append(out, durations.ReplaceAll(body, nil))
+		}
+		return out
+	}
+
+	var wire map[string][]json.RawMessage
+	if err := json.Unmarshal(orgDatasetJSON(t), &wire); err != nil {
+		t.Fatal(err)
+	}
+	for _, list := range wire {
+		for i, j := 0, len(list)-1; i < j; i, j = i+1, j-1 {
+			list[i], list[j] = list[j], list[i]
+		}
+	}
+	upload, err := json.Marshal(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	srv1, st1 := open()
+	digest := uploadDataset(t, srv1, upload, http.StatusCreated)
+	before := run(srv1, digest)
+	srv1.Close()
+	st1.Close()
+
+	// Drop the persisted results so the restarted node recomputes them
+	// over the dataset it reloads from disk.
+	if err := os.RemoveAll(filepath.Join(dir, "results")); err != nil {
+		t.Fatal(err)
+	}
+	srv2, st2 := open()
+	defer srv2.Close()
+	defer st2.Close()
+	for i, after := range run(srv2, digest) {
+		if !bytes.Equal(before[i], after) {
+			t.Fatalf("%s over the uploaded dataset differs from the reloaded one:\n%s\nvs\n%s",
+				paths[i], before[i], after)
+		}
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // The canonical bytes are returned alongside so callers can store or
 // re-serve exactly what was hashed.
 func DigestOf(ds *rbac.Dataset) (digest string, canonical []byte, err error) {
-	canonical, err = json.Marshal(ds)
+	canonical, err = ds.MarshalJSON()
 	if err != nil {
 		return "", nil, fmt.Errorf("store: canonicalize dataset: %w", err)
 	}

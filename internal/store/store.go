@@ -232,14 +232,25 @@ func (s *Store) PutDataset(ds *rbac.Dataset) (digest string, created bool, err e
 	if err != nil {
 		return "", false, err
 	}
-	if int64(len(canonical)) > s.opts.MaxBytes {
-		return "", false, fmt.Errorf("%w: %d canonical bytes > budget %d", ErrTooLarge, len(canonical), s.opts.MaxBytes)
+	created, err = s.PutDigested(digest, canonical, ds)
+	return digest, created, err
+}
+
+// PutDigested registers a dataset the caller has already decoded and
+// canonicalized: digest and canonical must be exactly what DigestOf(ds)
+// returned. It is the upload path, which needs the digest before it
+// decides where the dataset lives; nothing is re-parsed or re-hashed,
+// since the canonical encoding round-trips to a dataset with the same
+// index order as ds. Like PutDataset, the store retains ds.
+func (s *Store) PutDigested(digest string, canonical []byte, ds *rbac.Dataset) (created bool, err error) {
+	if err := s.checkSize(canonical); err != nil {
+		return false, err
 	}
 	s.mu.Lock()
 	if e, ok := s.datasets[digest]; ok {
 		s.lru.MoveToFront(e.elem)
 		s.mu.Unlock()
-		return digest, false, nil
+		return false, nil
 	}
 	s.insertDatasetLocked(&dsEntry{digest: digest, ds: ds, canonical: canonical, stats: ds.Stats()})
 	s.mu.Unlock()
@@ -248,7 +259,15 @@ func (s *Store) PutDataset(ds *rbac.Dataset) (digest string, created bool, err e
 			s.opts.Logf("store: persist dataset %s: %v", digest, werr)
 		}
 	}
-	return digest, true, nil
+	return true, nil
+}
+
+// checkSize rejects canonical bytes that alone exceed the byte budget.
+func (s *Store) checkSize(canonical []byte) error {
+	if int64(len(canonical)) > s.opts.MaxBytes {
+		return fmt.Errorf("%w: %d canonical bytes > budget %d", ErrTooLarge, len(canonical), s.opts.MaxBytes)
+	}
+	return nil
 }
 
 // insertDatasetLocked registers the entry and applies the byte budget.
@@ -346,8 +365,8 @@ func (s *Store) PutCanonical(digest string, raw []byte) (created bool, err error
 	if got := hex.EncodeToString(sum[:]); got != digest {
 		return false, fmt.Errorf("store: bytes hash to %s, not the expected %s", got, digest)
 	}
-	if int64(len(raw)) > s.opts.MaxBytes {
-		return false, fmt.Errorf("%w: %d canonical bytes > budget %d", ErrTooLarge, len(raw), s.opts.MaxBytes)
+	if err := s.checkSize(raw); err != nil {
+		return false, err
 	}
 	ds, err := rbac.ReadJSON(bytes.NewReader(raw))
 	if err != nil {
@@ -356,20 +375,7 @@ func (s *Store) PutCanonical(digest string, raw []byte) (created bool, err error
 	if err := ds.Validate(); err != nil {
 		return false, fmt.Errorf("store: invalid dataset %s: %w", digest, err)
 	}
-	s.mu.Lock()
-	if e, ok := s.datasets[digest]; ok {
-		s.lru.MoveToFront(e.elem)
-		s.mu.Unlock()
-		return false, nil
-	}
-	s.insertDatasetLocked(&dsEntry{digest: digest, ds: ds, canonical: raw, stats: ds.Stats()})
-	s.mu.Unlock()
-	if s.opts.Dir != "" {
-		if werr := s.writeDatasetFile(digest, raw); werr != nil {
-			s.opts.Logf("store: persist dataset %s: %v", digest, werr)
-		}
-	}
-	return true, nil
+	return s.PutDigested(digest, raw, ds)
 }
 
 func (s *Store) removeDatasetLocked(e *dsEntry) {
